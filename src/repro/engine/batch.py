@@ -8,7 +8,7 @@ the tile storage into expression evaluation without per-tuple work.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -69,3 +69,13 @@ def concat_batches(batches: List[Batch]) -> Optional[Batch]:
         null_mask = np.concatenate([vector.null_mask for vector in vectors])
         columns[name] = ColumnVector(vectors[0].type, data, null_mask)
     return Batch(columns, sum(batch.length for batch in batches))
+
+
+def rows_of(batch: Optional[Batch], names: Sequence[str]) -> List[tuple]:
+    """The result rows of *batch* as tuples over *names* (none when
+    *batch* is ``None``)."""
+    if batch is None:
+        return []
+    vectors = [batch.column(name) for name in names]
+    return [tuple(vector.value(row) for vector in vectors)
+            for row in range(batch.length)]

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from repro.engine.batch import rows_of
 from repro.engine.optimizer import Planner
 from repro.engine.plan import QueryBlock, QueryOptions
 from repro.engine.scan import ScanCounters
@@ -60,37 +61,17 @@ def _text(value: object) -> str:
 
 def execute_block(block: QueryBlock,
                   options: Optional[QueryOptions] = None) -> QueryResult:
-    """Plan and run one query block.
+    """Plan and run one query block on this node.
 
-    Aggregated single-source blocks route through the plan-fragment IR
-    (DESIGN.md §10) — the same two-phase plan the cluster executes,
-    with the exchange degenerating to an in-process pass-through.
-    Everything else (and ``enable_fragments=False``) runs the fused
-    operator tree; both paths are bit-identical by the partial-merge
-    proof in ``engine/partial.py``.
+    Every block plans and materializes the fused operator tree
+    (``Planner.plan_block``).  The plan-fragment IR (DESIGN.md §10) is
+    the cluster's wire plan; a single node never routes through it.
     """
     options = options or QueryOptions()
-    if options.enable_fragments:
-        from repro.engine.fragments import execute_fragments_local, \
-            plan_fragments
-        plan = plan_fragments(block, options)
-        # rows mode stays fused locally: the fused tree streams
-        # through LIMIT and stops scanning early, which the
-        # ship-everything fragment path would give up
-        if plan.join is None and plan.mode in ("scalar", "single_key",
-                                               "generic"):
-            columns, rows, counters, join_order = \
-                execute_fragments_local(block, options, plan)
-            return QueryResult(columns, rows, counters, join_order)
     planner = Planner(options)
     operator = planner.plan_block(block)
-    batch = operator.materialize()
     columns = block.output_names()
-    rows: List[Tuple] = []
-    if batch is not None:
-        vectors = [batch.column(name) for name in columns]
-        for row in range(batch.length):
-            rows.append(tuple(vector.value(row) for vector in vectors))
+    rows = rows_of(operator.materialize(), columns)
     counters = ScanCounters()
     for scan in planner.scans:
         counters.merge(scan.counters)

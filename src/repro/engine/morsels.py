@@ -2,14 +2,16 @@
 relational engine like any other scan; morsel-driven parallelism
 dispatches tile-granular work to worker threads").
 
-A *morsel* is one batch-sized slice of one tile — the unit of work a
-worker thread picks up.  The module owns the process-wide worker pool
-shared by every parallel operator (and by all of the server's
-concurrent queries): numpy kernels release the GIL, so scan
-conversion, predicate evaluation and vectorized aggregation overlap
-across threads even in CPython.
+A *morsel* is one batch-sized slice of one tile.  A worker thread
+picks up one canonical chunk at a time (``TableScan.chunks``): the
+morsels of one batch of the global row space, which is a single
+morsel unless seals or merges drew tile boundaries inside the batch.
+The module owns the process-wide worker pool shared by every parallel
+operator (and by all of the server's concurrent queries): numpy
+kernels release the GIL, so scan conversion, predicate evaluation and
+vectorized aggregation overlap across threads even in CPython.
 
-Determinism contract: :func:`run_ordered` yields results in morsel
+Determinism contract: :func:`run_ordered` yields results in chunk
 order regardless of which worker finishes first, and the merge stages
 in ``operators.py`` fold partial states in that same order — parallel
 execution replays the exact float-operation sequence of the serial
@@ -48,7 +50,6 @@ class Morsel:
     keeps swaps out of read critical sections.
     """
 
-    index: int
     tile: Optional[object]
     start: int
     stop: int
@@ -174,58 +175,18 @@ def map_ordered(fn: Callable[..., T], items: Iterable,
     return list(run_ordered(thunks, workers))
 
 
-class LocalExchange:
-    """The in-process degenerate case of a fragment exchange
-    (DESIGN.md §10).
-
-    On a cluster, an exchange edge moves pieces over the JSON-lines
-    protocol — shard partials gathered to the coordinator, or a build
-    side broadcast to every shard.  On a single node the same edge is
-    this: a list the producing fragment appends to and the consuming
-    fragment reads back, in the exact order the cluster's ``(block,
-    chunk)`` merge would impose anyway.  Keeping the pass-through
-    explicit (rather than wiring fragments directly together) is what
-    lets ``engine/fragments.py`` and ``cluster/coordinator.py`` execute
-    the *same* fragment DAG with only the transport swapped.
-    """
-
-    def __init__(self, kind: str):
-        #: "partials" | "broadcast" | "result" — mirrors
-        #: :class:`~repro.engine.fragments.PlanFragment.exchange`
-        self.kind = kind
-        self._pieces: list = []
-
-    def send(self, pieces: Iterable) -> None:
-        self._pieces.extend(pieces)
-
-    def receive(self) -> list:
-        return list(self._pieces)
-
-
 def canonical_chop(batch_rows: int, tile_size: int) -> int:
-    """The canonical scan block: tiles are chopped at multiples of
-    ``min(batch_rows, tile_size)`` rows, not at their physical row
-    counts.  Legacy tiles never exceed ``tile_size`` rows, so nothing
-    changes for them — but an LSM-merged tile (fanout × tile_size
-    rows) is sliced exactly where its inputs' boundaries were, which
-    keeps per-batch float folds bit-exact with compaction on or off.
-    The per-block zone maps (DESIGN.md §9) are defined over the same
-    chop, so ``TableScan.morsels`` and the cluster's
-    ``partial._chunk_spans`` prune identical row ranges."""
+    """The morsel size within a tile: tiles are chopped at multiples
+    of ``min(batch_rows, tile_size)`` rows, so an LSM-merged tile
+    (fanout × tile_size rows) is sliced where its inputs' boundaries
+    were.  The per-block zone maps (DESIGN.md §9) are defined over the
+    same chop."""
     return max(1, min(batch_rows, tile_size))
 
 
 def block_ranges(total: int, block: int) -> Iterator[tuple]:
     """Aligned ``[start, stop)`` ranges of size *block* covering
-    ``range(total)`` (the last range may be short).
-
-    This is the unit the cluster's process-external partial merge is
-    defined over (``repro.engine.partial``): slicing a shard's local
-    rows at multiples of the tile size — independent of where the
-    shard's actual tile boundaries drifted to — reproduces the batch
-    boundaries a canonical single-node load would have used, which is
-    what makes cross-process partial-aggregate merges bit-identical.
-    """
+    ``range(total)`` (the last range may be short)."""
     if block <= 0:
         raise ValueError(f"block size must be positive, got {block}")
     for start in range(0, total, block):

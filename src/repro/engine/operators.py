@@ -8,11 +8,12 @@ hashing for composite or string keys.
 Morsel-driven parallelism: aggregation and top-k recognize when their
 child pipeline bottoms out at a :class:`~repro.engine.scan.TableScan`
 (through filters/projections) and, when the scan is configured with
-``parallelism > 1``, dispatch tile morsels to the shared worker pool.
-Each worker runs scan → predicate → partial state on its morsel; the
-merge stage folds partials **in morsel order**, replaying the serial
-engine's exact float-operation sequence so results stay bit-identical
-at any worker count.
+``parallelism > 1``, dispatch the scan's canonical chunks
+(``TableScan.chunks``) to the shared worker pool.  Each worker runs
+scan → predicate → partial state on its chunk; the merge stage folds
+partials **in chunk order**, replaying the serial engine's exact
+float-operation sequence so results stay bit-identical at any worker
+count.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import enum
 import heapq
 from dataclasses import dataclass
 from functools import partial as _bind
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,7 +94,7 @@ def _extract_pipeline(op):
     """Peel filters/projections off *op* down to a TableScan.
 
     Returns ``(scan, transforms)`` where *transforms* re-applies the
-    peeled operators (scan-order) to one morsel's batch, or
+    peeled operators (scan-order) to one chunk's batch, or
     ``(None, [])`` when the tree does not bottom out at a scan — then
     the caller falls back to streaming ``child.batches()`` (which
     still parallelizes inside the scan itself).
@@ -118,8 +119,8 @@ def _extract_pipeline(op):
 
 
 def _apply_transforms(batch: Optional[Batch], transforms) -> Optional[Batch]:
-    """Replay peeled filter/project semantics on one morsel batch;
-    ``None`` means the morsel contributed no rows."""
+    """Replay peeled filter/project semantics on one chunk's batch;
+    ``None`` means the chunk contributed no rows."""
     if batch is None or batch.length == 0:
         return None
     for kind, payload in transforms:
@@ -137,12 +138,13 @@ def _apply_transforms(batch: Optional[Batch], transforms) -> Optional[Batch]:
 
 
 def _parallel_source(child):
-    """The (scan, transforms, morsels) triple when *child* can be
-    morsel-dispatched; ``None`` keeps the serial path."""
+    """The (scan, transforms, chunks) triple when *child* can be
+    dispatched to the worker pool, one task per canonical chunk
+    (``TableScan.chunks``); ``None`` keeps the serial path."""
     scan, transforms = _extract_pipeline(child)
     if scan is None or scan.parallelism <= 1:
         return None
-    return scan, transforms, scan.morsels()
+    return scan, transforms, [pieces for _tag, pieces in scan.chunks()]
 
 
 class JoinKind(enum.Enum):
@@ -453,10 +455,19 @@ class HashAggregateOp(Operator):
         # generic path (composite/string keys, count_distinct per
         # group): per-row float accumulation is order-sensitive, so the
         # coordinator aggregates serially — the scan underneath still
-        # produces its batches in parallel, in order.  With kernels
-        # enabled, GroupByKernel folds whole batches vectorized; a
-        # declined batch spills the kernel state to the classic dict
-        # and the per-tuple loop continues bit-identically.
+        # produces its batches in parallel, in order.
+        groups, key_types = self._generic_groups(self.child.batches(),
+                                                 self.counters)
+        yield self._finish(groups, key_types)
+
+    def _generic_groups(self, batches: Iterable[Batch],
+                        counters: ScanCounters):
+        """Fold *batches* into per-tuple group states; returns
+        ``(groups, key_types)``.  With kernels enabled, GroupByKernel
+        folds whole batches vectorized; a declined batch spills the
+        kernel state to the classic dict and the per-tuple loop
+        continues bit-identically.  Kernel coverage goes to *counters*
+        (the cluster's chunk builders pass a per-chunk instance)."""
         kernel: Optional[GroupByKernel] = None
         if self.enable_kernels:
             kernel = GroupByKernel(self.aggregates)
@@ -464,7 +475,7 @@ class HashAggregateOp(Operator):
                 kernel = None
         groups: Dict[tuple, List] = {}
         key_types: Optional[List[ColumnType]] = None
-        for batch in self.child.batches():
+        for batch in batches:
             key_vectors = [expr.evaluate(batch) for _, expr in self.keys]
             if key_types is None:
                 key_types = [vector.type for vector in key_vectors]
@@ -474,12 +485,12 @@ class HashAggregateOp(Operator):
             ]
             if kernel is not None:
                 if kernel.update(key_vectors, agg_vectors, batch.length):
-                    self.counters.kernel_rows += batch.length
+                    counters.kernel_rows += batch.length
                     continue
                 groups = kernel.spill()
                 kernel = None
             if self.enable_kernels:
-                self.counters.fallback_rows += batch.length
+                counters.fallback_rows += batch.length
             for row in range(batch.length):
                 key = tuple(
                     None if vector.null_mask[row] else _scalar(vector, row)
@@ -493,9 +504,7 @@ class HashAggregateOp(Operator):
                     _update_state(state[slot], spec, agg_vectors[slot], row)
         if kernel is not None:
             groups = kernel.spill()
-        if not groups and not self.keys:
-            groups[()] = [_new_state(spec) for spec in self.aggregates]
-        yield self._finish(groups, key_types)
+        return groups, key_types
 
     def _vectorizable_aggs(self) -> bool:
         supported = {"sum", "count", "count_star", "avg", "min", "max"}
@@ -512,9 +521,9 @@ class HashAggregateOp(Operator):
         is factorized with ``np.unique`` and every aggregate update is a
         ``np.bincount`` / ``minimum.at`` reduction.
 
-        With a morsel-dispatchable child, every worker builds a
-        :class:`_SingleKeyState` for its morsel and the coordinator
-        merges them in morsel order — the same per-batch partials the
+        With a pool-dispatchable child, every worker builds a
+        :class:`_SingleKeyState` for its chunk and the coordinator
+        merges them in chunk order — the same per-batch partials the
         serial loop folds, in the same order, so the result is
         bit-identical to serial execution.
         """
@@ -522,10 +531,10 @@ class HashAggregateOp(Operator):
         state = _SingleKeyState(key_expr, self.aggregates)
         source = _parallel_source(self.child)
         if source is not None:
-            scan, transforms, morsels = source
+            scan, transforms, chunks = source
 
-            def task(morsel):
-                batch = _apply_transforms(scan.resolve_morsel(morsel),
+            def task(chunk):
+                batch = _apply_transforms(scan.resolve_chunk(chunk),
                                           transforms)
                 if batch is None:
                     return None
@@ -533,7 +542,7 @@ class HashAggregateOp(Operator):
                 piece.update(batch)
                 return piece
 
-            pieces = run_ordered([_bind(task, morsel) for morsel in morsels],
+            pieces = run_ordered([_bind(task, chunk) for chunk in chunks],
                                  scan.parallelism)
             for piece in pieces:
                 if piece is not None:
@@ -545,15 +554,15 @@ class HashAggregateOp(Operator):
 
     def _scalar_aggregate(self) -> Batch:
         """Vectorized global aggregation (no GROUP BY): every state
-        update is a numpy reduction over the batch; morsel partials
+        update is a numpy reduction over the batch; chunk partials
         merge in order (see :meth:`_single_key_aggregate`)."""
         states = [_new_state(spec) for spec in self.aggregates]
         source = _parallel_source(self.child)
         if source is not None:
-            scan, transforms, morsels = source
+            scan, transforms, chunks = source
 
-            def task(morsel):
-                batch = _apply_transforms(scan.resolve_morsel(morsel),
+            def task(chunk):
+                batch = _apply_transforms(scan.resolve_chunk(chunk),
                                           transforms)
                 if batch is None:
                     return None
@@ -561,7 +570,7 @@ class HashAggregateOp(Operator):
                 self._scalar_update(piece, batch)
                 return piece
 
-            pieces = run_ordered([_bind(task, morsel) for morsel in morsels],
+            pieces = run_ordered([_bind(task, chunk) for chunk in chunks],
                                  scan.parallelism)
             for piece in pieces:
                 if piece is not None:
@@ -609,7 +618,7 @@ class HashAggregateOp(Operator):
                 raise ExecutionError(f"unknown aggregate {spec.func!r}")
 
     def _merge_scalar(self, states: List[List], incoming: List[List]) -> None:
-        """Fold one morsel's partial states in; untouched partials are
+        """Fold one chunk's partial states in; untouched partials are
         skipped so the fold replays exactly the serial update sequence
         (a batch with no valid rows never touched the serial state)."""
         for slot, spec in enumerate(self.aggregates):
@@ -974,36 +983,47 @@ class TopKOp(Operator):
                                   key=sort_value)
         yield batch.take(np.array(indices, dtype=np.int64))
 
-    def _parallel_candidates(self, scan, transforms, morsels) -> List[Batch]:
-        """Per-morsel candidate selection: any globally-top-k row is in
-        its morsel's top-k, and re-sorting the picked indices restores
+    def _parallel_candidates(self, scan, transforms, chunks) -> List[Batch]:
+        """Per-chunk candidate selection: any globally-top-k row is in
+        its chunk's top-k, and re-sorting the picked indices restores
         original row order — so the candidate stream is an
         order-preserving subsequence of the serial input and the final
         ``nsmallest`` (stable tie-breaking included) is bit-identical.
         """
 
-        def task(morsel):
-            batch = _apply_transforms(scan.resolve_morsel(morsel),
+        def task(chunk):
+            batch = _apply_transforms(scan.resolve_chunk(chunk),
                                       transforms)
             if batch is None:
                 return None
             if batch.length <= self.limit:
                 return batch
-            if self.enable_kernels:
-                # no counter updates here: tasks run on pool workers
-                # and ScanCounters increments are not atomic
-                order = lexsort_indices(batch, self.keys)
-                if order is not None:
-                    return batch.take(np.sort(order[:self.limit]))
-            local = _make_sort_key(batch, self.keys)
-            picks = heapq.nsmallest(self.limit, range(batch.length),
-                                    key=local)
-            picks.sort()
-            return batch.take(np.array(picks, dtype=np.int64))
+            # no counter updates here: tasks run on pool workers and
+            # ScanCounters increments are not atomic
+            take, _kernel = _topk_candidates(batch, self.keys, self.limit,
+                                             self.enable_kernels)
+            return batch.take(take)
 
-        pieces = run_ordered([_bind(task, morsel) for morsel in morsels],
+        pieces = run_ordered([_bind(task, chunk) for chunk in chunks],
                              scan.parallelism)
         return [piece for piece in pieces if piece is not None]
+
+
+def _topk_candidates(batch: Batch, keys: Sequence[SortKey], limit: int,
+                     enable_kernels: bool) -> Tuple[np.ndarray, bool]:
+    """Ascending row indices of *batch*'s top-*limit* rows under
+    *keys*, and whether the lexsort kernel served them.  Any globally
+    top-k row is in its piece's top-k, and ascending picks preserve row
+    order, so concatenated candidates stay an order-preserving
+    subsequence of the input."""
+    if enable_kernels:
+        order = lexsort_indices(batch, keys)
+        if order is not None:
+            return np.sort(order[:limit]), True
+    picks = heapq.nsmallest(limit, range(batch.length),
+                            key=_make_sort_key(batch, keys))
+    picks.sort()
+    return np.array(picks, dtype=np.int64), False
 
 
 class _Lowest:

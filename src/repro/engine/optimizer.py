@@ -132,10 +132,21 @@ class Planner:
             tree = self._kernel_op(HashAggregateOp(
                 tree, block.group_keys, block.aggregates,
                 enable_kernels=self.options.enable_kernels))
-            if block.having is not None:
+        return self.plan_output(tree, block)
+
+    def plan_output(self, tree: Operator, block: QueryBlock,
+                    project: bool = True) -> Operator:
+        """The block's finishing tail above aggregation: HAVING, the
+        SELECT projection, UNION branches, then TopK/Sort/Limit.  The
+        cluster's merge runs it over merged partial states, so both
+        executors finish a block through this one method;
+        ``project=False`` skips HAVING and SELECT for input that shards
+        already projected (rows mode)."""
+        if project:
+            if block.is_aggregated and block.having is not None:
                 tree = FilterOp(tree, block.having)
-        if block.select:
-            tree = ProjectOp(tree, block.select)
+            if block.select:
+                tree = ProjectOp(tree, block.select)
         if block.union_blocks:
             branches = [tree]
             main_names = block.output_names()

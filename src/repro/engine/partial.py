@@ -12,16 +12,13 @@ produced, in the same order, so merged results are bit-identical.
 Canonical layout contract.  The coordinator routes inserts to shards
 in round-robin *blocks* of ``tile_size`` rows, so global rows
 ``[k*B, (k+1)*B)`` live on shard ``k % S`` as its local block
-``k // S`` (``B`` = tile size, ``S`` = shard count).  A canonical
-single-node load seals one tile per block and scans it in
-``batch_rows``-sized batches; the shard reproduces those batch
-boundaries by slicing its *local row space* at multiples of ``B`` and
-then at multiples of ``batch_rows`` — deliberately ignoring where its
-own tile boundaries drifted to under mid-stream flushes.  Slices are
-resolved with hand-built :class:`~repro.engine.morsels.Morsel` ranges,
-which may span tile boundaries; per-sub-range predicate filtering then
-concatenation equals filtering the concatenation, so the surviving
-rows and their order match the canonical scan.
+``k // S`` (``B`` = tile size, ``S`` = shard count).  Every scan —
+single-node or shard — batches its rows in canonical chunks
+(``TableScan.chunks``): its row space cut at multiples of ``B`` and
+then at multiples of ``batch_rows``, ignoring where its own tile
+boundaries drifted to under mid-stream flushes.  A shard's local chunk
+``(b, c)`` is therefore the single node's chunk ``(b * S + s, c)``,
+with the same surviving rows in the same order.
 
 Execution modes (decided identically on coordinator and shard from the
 bound block — classification is data-independent):
@@ -51,8 +48,6 @@ bound block — classification is data-independent):
 
 from __future__ import annotations
 
-import heapq
-from bisect import bisect_right
 from functools import partial as _bind
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -60,30 +55,20 @@ import numpy as np
 
 from repro.core.types import ColumnType
 from repro.engine import expressions as ex
-from repro.engine.batch import Batch, concat_batches
-from repro.engine.kernels import GroupByKernel, lexsort_indices
-from repro.engine.morsels import Morsel, block_ranges, canonical_chop, \
-    run_ordered
+from repro.engine.batch import Batch, rows_of
+from repro.engine.morsels import run_ordered
 from repro.engine.operators import (
     BatchSource,
-    FilterOp,
     HashAggregateOp,
-    LimitOp,
-    ProjectOp,
-    SortOp,
-    TopKOp,
-    _make_sort_key,
     _new_state,
-    _scalar,
     _SingleKeyState,
-    _update_state,
+    _topk_candidates,
 )
 from repro.engine.optimizer import Planner, PlannedScan
 from repro.engine.plan import QueryBlock, QueryOptions, ScanSource
 from repro.engine.scan import ROWID_PATH, ScanCounters, TableScan
 from repro.errors import ExecutionError
 from repro.storage.column import ColumnVector
-from repro.storage.formats import StorageFormat
 
 GATHER = "gather"
 
@@ -195,8 +180,7 @@ def execute_partial(block: QueryBlock, options: QueryOptions,
             f"{mode!r}; upgrade so both ends run the same planner")
 
     source = block.sources[0]
-    relation = source.relation
-    tile_rows = relation.config.tile_size
+    tile_rows = source.relation.config.tile_size
 
     planner = Planner(options)
     planned = {source.alias: PlannedScan(source)}
@@ -219,8 +203,7 @@ def execute_partial(block: QueryBlock, options: QueryOptions,
 
     build = _chunk_builder(mode, block, tile_rows, shard_index,
                            shard_count, rowid_name, options, scan)
-    pieces = _run_chunks(scan, relation, tile_rows, shard_index,
-                         shard_count, options, build)
+    pieces = _run_chunks(scan, shard_index, shard_count, options, build)
     return {"mode": mode, "pieces": pieces,
             "counters": scan.counters.as_dict()}
 
@@ -248,20 +231,35 @@ def _fragment_scan(planner: Planner, source: ScanSource,
     )
 
 
-def _run_chunks(scan: TableScan, relation, tile_rows: int,
-                shard_index: int, shard_count: int,
+def _run_chunks(scan: TableScan, shard_index: int, shard_count: int,
                 options: QueryOptions, build) -> List[dict]:
-    """Enumerate the shard's ``(block, chunk)`` spans and fold each
-    surviving chunk through *build* on the shared morsel pool."""
+    """Fold each of the shard's canonical chunks (``TableScan.chunks``
+    over its local rows) through *build* on the shared morsel pool,
+    tagging every piece with its global ``(block, chunk)`` id: local
+    block ``b`` of shard ``s`` is global block ``b * S + s``."""
     tasks = [
-        _bind(_run_chunk, scan, span, tag, build)
-        for tag, span in _chunk_spans(relation, scan, tile_rows,
-                                      shard_index, shard_count,
-                                      options.batch_rows)
+        _bind(_run_chunk, scan, pieces,
+              (block * shard_count + shard_index, index), build)
+        for (block, index), pieces in scan.chunks()
     ]
     return [piece for piece in
             run_ordered(tasks, max(1, options.parallelism))
             if piece is not None]
+
+
+def _run_chunk(scan: TableScan, pieces, tag: Tuple[int, int],
+               build) -> Optional[dict]:
+    """Resolve one chunk's surviving rows and build its partial state."""
+    batch = scan.resolve_chunk(pieces)
+    if not batch.length:
+        return None
+    piece = build(batch)
+    if piece is None:
+        # the chunk survived the scan but produced nothing to ship
+        # (e.g. a probe-fragment chunk whose rows all missed the join)
+        return None
+    piece["k"], piece["c"] = tag
+    return piece
 
 
 # ----------------------------------------------------------------------
@@ -291,8 +289,6 @@ def execute_build_fragment(block: QueryBlock, options: QueryOptions,
         raise ExecutionError(
             f"build fragment alias {build_alias!r} is not a base-table "
             f"scan")
-    relation = source.relation
-    tile_rows = relation.config.tile_size
 
     planner = Planner(options)
     planned, _join_edges, _residuals = planner.fragment_inputs(block)
@@ -314,8 +310,8 @@ def execute_build_fragment(block: QueryBlock, options: QueryOptions,
                           for name in names]
                          for row in range(batch.length)]}
 
-    pieces = _run_chunks(scan, relation, tile_rows, shard_index,
-                         shard_count, options, build_piece)
+    pieces = _run_chunks(scan, shard_index, shard_count, options,
+                         build_piece)
     return {"mode": "build", "columns": names,
             "types": [target.name for target in types],
             "pieces": pieces, "counters": scan.counters.as_dict()}
@@ -387,8 +383,7 @@ def execute_probe_fragment(block: QueryBlock, options: QueryOptions,
         raise ExecutionError(
             f"probe fragment alias {probe_alias!r} is not a base-table "
             f"scan")
-    relation = source.relation
-    tile_rows = relation.config.tile_size
+    tile_rows = source.relation.config.tile_size
 
     rowid_name = None
     if mode == "rows":
@@ -452,128 +447,23 @@ def execute_probe_fragment(block: QueryBlock, options: QueryOptions,
             return None
         return build(combined)
 
-    pieces = _run_chunks(scan, relation, tile_rows, shard_index,
-                         shard_count, options, probe_piece)
+    pieces = _run_chunks(scan, shard_index, shard_count, options,
+                         probe_piece)
     return {"mode": mode, "pieces": pieces,
             "counters": scan.counters.as_dict()}
 
 
-def _chunk_spans(relation, scan: TableScan, tile_rows: int,
-                 shard_index: int, shard_count: int, batch_rows: int):
-    """Enumerate ``((k, c), [start, stop))`` chunk spans over the
-    shard's local row space, applying tile skipping once up front
-    (mirroring ``TableScan.morsels`` counter semantics)."""
-    total = relation.row_count
-    if relation.format == StorageFormat.JSON:
-        live = [(0, total)] if total else []
-    else:
-        live = []
-        # one manifest snapshot for the span enumeration (repro.lsm):
-        # a compaction swapping tiles mid-enumeration cannot tear the
-        # chunk layout, and the counters match TableScan.morsels
-        block = canonical_chop(batch_rows, tile_rows)
-        for tile in relation.manifest().tiles:
-            scan.counters.tiles_total += 1
-            if scan._can_skip(tile):
-                scan.counters.tiles_skipped += 1
-                continue
-            scan.counters.rows_scanned += tile.row_count
-            level = tile.header.level
-            scan.levels_scanned[level] = \
-                scan.levels_scanned.get(level, 0) + 1
-            # block-granular zone maps (DESIGN.md §9), mirroring
-            # TableScan.morsels: pruned canonical-chop blocks punch
-            # holes into the live span; adjacent survivors coalesce so
-            # the no-pruning case reproduces the old whole-tile span
-            # (pruned rows fail the predicate anyway — survivors and
-            # their order are untouched)
-            base = tile.first_row
-            for b_start, b_stop in block_ranges(tile.row_count, block):
-                if scan._can_skip_block(tile, b_start, b_stop):
-                    scan.counters.blocks_pruned += 1
-                    scan.counters.rows_scanned -= b_stop - b_start
-                    continue
-                if live and live[-1][1] == base + b_start:
-                    live[-1] = (live[-1][0], base + b_stop)
-                else:
-                    live.append((base + b_start, base + b_stop))
-    for start, stop in block_ranges(total, tile_rows):
-        k = (start // tile_rows) * shard_count + shard_index
-        for chunk_index, (c_start, c_stop) in enumerate(
-                block_ranges(stop - start, batch_rows)):
-            span = _clip_spans(live, start + c_start, start + c_stop)
-            if span:
-                yield (k, chunk_index), span
-
-
-def _clip_spans(live: List[Tuple[int, int]], start: int,
-                stop: int) -> List[Tuple[int, int]]:
-    """Intersect ``[start, stop)`` with the non-skipped row ranges."""
-    clipped = []
-    for l_start, l_stop in live:
-        lo, hi = max(start, l_start), min(stop, l_stop)
-        if lo < hi:
-            clipped.append((lo, hi))
-    return clipped
-
-
-def _run_chunk(scan: TableScan, span: List[Tuple[int, int]],
-               tag: Tuple[int, int], build) -> Optional[dict]:
-    """Resolve one chunk's surviving rows and build its partial state."""
-    relation = scan.relation
-    batches = []
-    if relation.format == StorageFormat.JSON:
-        for start, stop in span:
-            batch = scan.resolve_morsel(Morsel(0, None, start, stop))
-            if batch.length:
-                batches.append(batch)
-    else:
-        # resolve against a manifest snapshot: spans are global row-id
-        # ranges, and compaction preserves row ids, so any epoch yields
-        # the same rows — but a snapshot makes the tile walk itself
-        # immune to a concurrent splice
-        tiles = relation.manifest().tiles
-        firsts = [tile.first_row for tile in tiles]
-        for start, stop in span:
-            index = max(0, bisect_right(firsts, start) - 1)
-            while index < len(tiles) and \
-                    tiles[index].first_row < stop:
-                tile = tiles[index]
-                lo = max(start, tile.first_row)
-                hi = min(stop, tile.first_row + tile.row_count)
-                if lo < hi:
-                    batch = scan.resolve_morsel(Morsel(
-                        0, tile, lo - tile.first_row, hi - tile.first_row))
-                    if batch.length:
-                        batches.append(batch)
-                index += 1
-    batch = concat_batches(batches)
-    if batch is None:
-        return None
-    piece = build(batch)
-    if piece is None:
-        # the chunk survived the scan but produced nothing to ship
-        # (e.g. a probe-fragment chunk whose rows all missed the join)
-        return None
-    piece["k"], piece["c"] = tag
-    return piece
-
-
 def _chunk_builder(mode: str, block: QueryBlock, tile_rows: int,
                    shard_index: int, shard_count: int,
-                   rowid_name: Optional[str],
-                   options: Optional[QueryOptions] = None,
-                   scan: Optional[TableScan] = None):
-    enable_kernels = bool(options and options.enable_kernels)
+                   rowid_name: Optional[str], options: QueryOptions,
+                   scan: TableScan):
+    enable_kernels = options.enable_kernels
 
-    def count(field: str, rows: int) -> None:
+    def count(local: ScanCounters) -> None:
         # chunk builders run on pool workers; fold kernel coverage into
         # the shard's shared counters under the scan's lock
-        if scan is None or not rows:
-            return
         with scan._counters_lock:
-            setattr(scan.counters, field,
-                    getattr(scan.counters, field) + rows)
+            scan.counters.merge(local)
     if mode == "scalar":
         op = HashAggregateOp(BatchSource([]), [], block.aggregates)
 
@@ -601,50 +491,20 @@ def _chunk_builder(mode: str, block: QueryBlock, tile_rows: int,
         return build_single_key
 
     if mode == "generic":
+        op = HashAggregateOp(BatchSource([]), block.group_keys,
+                             block.aggregates,
+                             enable_kernels=enable_kernels)
 
         def build_generic(batch: Batch) -> dict:
-            key_vectors = [expr.evaluate(batch)
-                           for _name, expr in block.group_keys]
-            agg_vectors = [
-                spec.expr.evaluate(batch) if spec.expr is not None else None
-                for spec in block.aggregates
-            ]
-            groups: Optional[Dict[tuple, List]] = None
-            if enable_kernels:
-                # one chunk = one batch, so a per-chunk GroupByKernel
-                # either folds it whole or declines it untouched;
-                # spill() yields exactly the per-tuple state dicts the
-                # encoder below expects (generic mode only admits
-                # exactly-mergeable aggregates, see classify_block)
-                kernel = GroupByKernel(block.aggregates)
-                if kernel.supported and kernel.update(
-                        key_vectors, agg_vectors, batch.length):
-                    groups = kernel.spill()
-                    count("kernel_rows", batch.length)
-                else:
-                    count("fallback_rows", batch.length)
-            if groups is not None:
-                return {
-                    "keys": [list(key) for key in groups],
-                    "key_types": [vector.type.name
-                                  for vector in key_vectors],
-                    "states": [_encode_states(state, block.aggregates)
-                               for state in groups.values()],
-                }
-            groups = {}
-            for row in range(batch.length):
-                key = tuple(
-                    None if vector.null_mask[row] else _scalar(vector, row)
-                    for vector in key_vectors)
-                state = groups.get(key)
-                if state is None:
-                    state = [_new_state(spec) for spec in block.aggregates]
-                    groups[key] = state
-                for slot, spec in enumerate(block.aggregates):
-                    _update_state(state[slot], spec, agg_vectors[slot], row)
+            # one chunk = one batch, folded exactly as the fused
+            # generic GROUP BY folds it (generic mode only admits
+            # exactly-mergeable aggregates, see classify_block)
+            local = ScanCounters()
+            groups, key_types = op._generic_groups([batch], local)
+            count(local)
             return {
                 "keys": [list(key) for key in groups],
-                "key_types": [vector.type.name for vector in key_vectors],
+                "key_types": [key_type.name for key_type in key_types],
                 "states": [_encode_states(state, block.aggregates)
                            for state in groups.values()],
             }
@@ -662,24 +522,14 @@ def _chunk_builder(mode: str, block: QueryBlock, tile_rows: int,
         limit = block.limit
         if limit is not None and projected.length > limit:
             if block.order_by:
-                # any globally-top-k row is in its chunk's top-k, and
-                # re-sorting the picks preserves original row order —
-                # the same argument as TopKOp._parallel_candidates
-                take = None
+                # the same candidate argument as
+                # TopKOp._parallel_candidates
+                take, kernel = _topk_candidates(
+                    projected, block.order_by, limit, enable_kernels)
                 if enable_kernels:
-                    order = lexsort_indices(projected, block.order_by)
-                    if order is not None:
-                        take = np.sort(order[:limit])
-                        count("kernel_rows", projected.length)
-                    else:
-                        count("fallback_rows", projected.length)
-                if take is None:
-                    sort_value = _make_sort_key(projected, block.order_by)
-                    picks = heapq.nsmallest(limit,
-                                            range(projected.length),
-                                            key=sort_value)
-                    picks.sort()
-                    take = np.array(picks, dtype=np.int64)
+                    n = projected.length
+                    count(ScanCounters(kernel_rows=n) if kernel
+                          else ScanCounters(fallback_rows=n))
             else:
                 take = np.arange(limit, dtype=np.int64)
             projected = projected.take(take)
@@ -759,8 +609,8 @@ def merge_partial_results(block: QueryBlock, mode: str,
                           counters: Optional[ScanCounters] = None,
                           ) -> Tuple[List[str], List[tuple]]:
     """Fold every shard's pieces in global ``(block, chunk)`` order and
-    run the planner's finishing tail (HAVING → SELECT → ORDER BY /
-    LIMIT).  Returns ``(columns, rows)`` bit-identical to single-node
+    run the planner's finishing tail (``Planner.plan_output``: HAVING →
+    SELECT → ORDER BY / LIMIT).  Returns ``(columns, rows)`` bit-identical to single-node
     execution of the same block.
 
     ``options`` lets the finishing tail engage the same sort kernels
@@ -769,9 +619,7 @@ def merge_partial_results(block: QueryBlock, mode: str,
     pieces = sorted(pieces, key=lambda piece: (piece["k"], piece["c"]))
     if mode == "rows":
         merged = _assemble_rows(block, pieces)
-        return _finish(block, merged, project=False,
-                       options=options, counters=counters)
-    if mode == "scalar":
+    elif mode == "scalar":
         op = HashAggregateOp(BatchSource([]), [], block.aggregates)
         states = [_new_state(spec) for spec in block.aggregates]
         for piece in pieces:
@@ -787,6 +635,10 @@ def merge_partial_results(block: QueryBlock, mode: str,
                                            block.aggregates))
         merged = state.finish(key_name)
     elif mode == "generic":
+        # only exactly-mergeable aggregates reach this mode (see
+        # classify_block), so the scalar merge folds their states
+        op = HashAggregateOp(BatchSource([]), block.group_keys,
+                             block.aggregates)
         groups: Dict[tuple, List] = {}
         key_types: Optional[List[ColumnType]] = None
         for piece in pieces:
@@ -799,39 +651,22 @@ def merge_partial_results(block: QueryBlock, mode: str,
                 if state is None:
                     groups[tuple(key)] = incoming
                 else:
-                    _merge_exact_states(state, incoming, block.aggregates)
-        op = HashAggregateOp(BatchSource([]), block.group_keys,
-                             block.aggregates)
-        if not groups and not block.group_keys:
-            groups[()] = [_new_state(spec) for spec in block.aggregates]
+                    op._merge_scalar(state, incoming)
         merged = op._finish(groups, key_types)
     else:
         raise ExecutionError(f"unknown partial mode {mode!r}")
-    return _finish(block, merged, project=True,
-                   options=options, counters=counters)
-
-
-def _merge_exact_states(state: List[List], incoming: List[List],
-                        aggregates) -> None:
-    """Merge generic-mode states.  Only exactly-mergeable aggregates
-    reach this path (see :func:`classify_block`): set unions, integer
-    adds and extremes — plus int-valued float sums for avg-over-INT64,
-    exact below 2**53."""
-    for slot, spec in enumerate(aggregates):
-        current, piece = state[slot], incoming[slot]
-        if spec.func == "count_distinct":
-            current[0].update(piece[0])
-        elif spec.func in ("min", "max"):
-            if piece[0] is not None and (
-                    current[0] is None or (
-                        piece[0] < current[0] if spec.func == "min"
-                        else piece[0] > current[0])):
-                current[0] = piece[0]
-        elif spec.func == "avg":
-            current[0] += piece[0]
-            current[1] += piece[1]
-        else:  # sum / count / count_star
-            current[0] += piece[0]
+    # the planner's own finishing tail; rows-mode shards already
+    # projected.  Without options the tail runs the reference sorts.
+    planner = Planner(options or QueryOptions(enable_kernels=False))
+    tree = planner.plan_output(
+        BatchSource([merged] if merged is not None else []), block,
+        project=mode != "rows")
+    result = tree.materialize()
+    if counters is not None:
+        for kernel_op in planner.kernel_ops:
+            counters.merge(kernel_op.counters)
+    names = block.output_names()
+    return list(names), rows_of(result, names)
 
 
 def _assemble_rows(block: QueryBlock, pieces: List[dict]) -> Batch:
@@ -852,44 +687,6 @@ def _assemble_rows(block: QueryBlock, pieces: List[dict]) -> Batch:
         for name, expr in select
     }
     return Batch(vectors, length)
-
-
-def _finish(block: QueryBlock, merged: Optional[Batch],
-            project: bool, options: Optional[QueryOptions] = None,
-            counters: Optional[ScanCounters] = None,
-            ) -> Tuple[List[str], List[tuple]]:
-    """The planner's post-aggregation tail, verbatim
-    (``Planner.plan_block``): HAVING filter, SELECT projection, then
-    TopK/Sort/Limit.  ``project=False`` for rows mode, whose shards
-    already projected.  With ``options``, the sort tail uses the same
-    kernels as the fused tree and reports coverage into ``counters``."""
-    enable_kernels = bool(options and options.enable_kernels)
-    tree = BatchSource([merged] if merged is not None else [])
-    if project:
-        if block.is_aggregated and block.having is not None:
-            tree = FilterOp(tree, block.having)
-        if block.select:
-            tree = ProjectOp(tree, block.select)
-    tail = None
-    if block.order_by and block.limit is not None:
-        tree = tail = TopKOp(tree, block.order_by, block.limit,
-                             enable_kernels=enable_kernels)
-    elif block.order_by:
-        tree = tail = SortOp(tree, block.order_by,
-                             enable_kernels=enable_kernels)
-    elif block.limit is not None:
-        tree = LimitOp(tree, block.limit)
-    result = tree.materialize()
-    if counters is not None and tail is not None:
-        counters.merge(tail.counters)
-    names = block.output_names()
-    if result is None:
-        return list(names), []
-    rows = [
-        tuple(result.column(name).value(row) for name in names)
-        for row in range(result.length)
-    ]
-    return list(names), rows
 
 
 def merge_counters(counter_dicts: Sequence[Dict[str, int]]) -> ScanCounters:

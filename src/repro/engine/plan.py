@@ -53,15 +53,6 @@ def _default_latemat() -> bool:
     return raw.lower() in ("1", "true", "yes", "on")
 
 
-def _default_fragments() -> bool:
-    """On unless ``REPRO_FRAGMENTS`` disables it (differential tests
-    ablate the fragment executor against the fused operator tree)."""
-    raw = os.environ.get("REPRO_FRAGMENTS", "")
-    if not raw:
-        return True
-    return raw.lower() in ("1", "true", "yes", "on")
-
-
 def _default_distjoin() -> bool:
     """On unless ``REPRO_DISTJOIN`` disables it (the coordinator then
     answers every join through the gather fallback)."""
@@ -216,11 +207,6 @@ class QueryOptions:
     #: bit-identical to eager materialization either way.
     enable_late_materialization: bool = field(
         default_factory=_default_latemat)
-    #: plan-fragment execution (DESIGN.md §10): route partial-capable
-    #: blocks through the two-phase fragment IR even on a single node,
-    #: where the exchange is an in-process pass-through.  Off runs the
-    #: fused operator tree; results are bit-identical either way.
-    enable_fragments: bool = field(default_factory=_default_fragments)
     #: shard-side broadcast joins (DESIGN.md §10): the coordinator may
     #: broadcast a small join build side to every shard and merge only
     #: partial results.  Off (or any declined plan) falls back to the

@@ -51,9 +51,10 @@ import numpy as np
 from repro.core.datetimes import parse_datetime_string
 from repro.core.jsonpath import KeyPath
 from repro.core.types import ColumnType
-from repro.engine.batch import Batch
+from repro.engine.batch import Batch, concat_batches
 from repro.engine.expressions import BoolAnd, Expression
-from repro.engine.morsels import Morsel, canonical_chop, run_ordered
+from repro.engine.morsels import Morsel, block_ranges, canonical_chop, \
+    run_ordered
 from repro.jsonb.access import JsonbValue
 from repro.jsonb.shred import ShredPlan, compile_paths, shred_jsonb, \
     shred_python
@@ -260,25 +261,17 @@ class TableScan:
         morsels: List[Morsel] = []
         if self.relation.format == StorageFormat.JSON:
             rows = self.relation.text_rows or []
-            for start in range(0, len(rows), self.batch_rows):
-                stop = min(start + self.batch_rows, len(rows))
-                morsels.append(Morsel(len(morsels), None, start, stop))
+            for start, stop in block_ranges(len(rows), self.batch_rows):
+                morsels.append(Morsel(None, start, stop))
             return morsels
         # enumerate one epoch-stamped manifest snapshot, not the live
         # list: a concurrent LSM compaction swaps tiles underneath, and
         # the snapshot guarantees this scan sees either the old run or
         # the merged tile, never a torn mixture (DESIGN.md §8)
         #
-        # canonical block layout: chop every tile at multiples of the
-        # configured tile size, not at its physical row count.  Legacy
-        # tiles never exceed tile_size rows, so nothing changes for
-        # them — but an LSM-merged tile (fanout * tile_size rows) is
-        # sliced exactly where its inputs' boundaries were, and the
-        # per-batch kernel partials fold in the same order as before
-        # the merge.  Batch boundaries are where float summation
-        # grouping lives; this is what makes query results bit-exact
-        # with compaction on vs off (the same trick the cluster's
-        # partial merge plays across drifted shard tile boundaries).
+        # every tile is chopped at multiples of the canonical chop, the
+        # unit of the per-block zone maps; chunks() regroups the
+        # surviving morsels at the global batch boundaries
         block = canonical_chop(self.batch_rows,
                                self.relation.config.tile_size)
         for tile in self.relation.manifest().tiles:
@@ -290,8 +283,7 @@ class TableScan:
             level = tile.header.level
             self.levels_scanned[level] = \
                 self.levels_scanned.get(level, 0) + 1
-            for start in range(0, tile.row_count, block):
-                stop = min(start + block, tile.row_count)
+            for start, stop in block_ranges(tile.row_count, block):
                 if self._can_skip_block(tile, start, stop):
                     # block-granular zone maps (DESIGN.md §9): inside
                     # a surviving (typically LSM-merged) tile, whole
@@ -301,7 +293,7 @@ class TableScan:
                     self.counters.blocks_pruned += 1
                     self.counters.rows_scanned -= stop - start
                     continue
-                morsels.append(Morsel(len(morsels), tile, start, stop))
+                morsels.append(Morsel(tile, start, stop))
         return morsels
 
     def resolve_morsel(self, morsel: Morsel) -> Batch:
@@ -325,17 +317,61 @@ class TableScan:
             self.counters.merge(local)
         return batch
 
+    def chunks(self) -> List[Tuple[Tuple[int, int], List[Morsel]]]:
+        """The surviving morsels grouped into canonical chunks, each
+        tagged ``(block, chunk)``: global rows cut at multiples of the
+        tile size, then at multiples of ``batch_rows`` within each
+        block — the batches of a load that sealed one full tile per
+        block.  Where server seals or LSM merges drew tile boundaries
+        elsewhere, a chunk lists one piece per tile it spans, so the
+        per-batch folds (and with them every float sum) do not depend
+        on the physical tile layout.  A cluster shard enumerates its
+        chunks the same way over its local rows (``engine/partial.py``).
+        """
+        tile_rows = self.relation.config.tile_size
+        chunks: List[Tuple[Tuple[int, int], List[Morsel]]] = []
+        for morsel in self.morsels():
+            base = morsel.tile.first_row if morsel.tile is not None else 0
+            row, stop = base + morsel.start, base + morsel.stop
+            while row < stop:
+                block, offset = divmod(row, tile_rows)
+                index = offset // self.batch_rows
+                end = min(stop, block * tile_rows
+                          + min((index + 1) * self.batch_rows, tile_rows))
+                piece = Morsel(morsel.tile, row - base, end - base)
+                if chunks and chunks[-1][0] == (block, index):
+                    pieces = chunks[-1][1]
+                    last = pieces[-1]
+                    if last.tile is piece.tile and last.stop == piece.start:
+                        pieces[-1] = Morsel(last.tile, last.start,
+                                            piece.stop)
+                    else:
+                        pieces.append(piece)
+                else:
+                    chunks.append(((block, index), [piece]))
+                row = end
+        return chunks
+
+    def resolve_chunk(self, pieces: Sequence[Morsel]) -> Batch:
+        """Scan + predicate for one canonical chunk: its pieces'
+        batches concatenated in row order.  Row-local predicates make
+        filtering the pieces equal to filtering their concatenation."""
+        if len(pieces) == 1:
+            return self.resolve_morsel(pieces[0])
+        batches = [self.resolve_morsel(piece) for piece in pieces]
+        return concat_batches(batches) or batches[0]
+
     def batches(self) -> Iterator[Batch]:
-        morsels = self.morsels()
-        if self.parallelism > 1 and len(morsels) > 1:
-            tasks = [partial(self.resolve_morsel, morsel)
-                     for morsel in morsels]
+        chunks = [pieces for _tag, pieces in self.chunks()]
+        if self.parallelism > 1 and len(chunks) > 1:
+            tasks = [partial(self.resolve_chunk, pieces)
+                     for pieces in chunks]
             for batch in run_ordered(tasks, self.parallelism):
                 if batch.length:
                     yield batch
             return
-        for morsel in morsels:
-            batch = self.resolve_morsel(morsel)
+        for pieces in chunks:
+            batch = self.resolve_chunk(pieces)
             if batch.length:
                 yield batch
 

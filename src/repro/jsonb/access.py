@@ -16,7 +16,7 @@ from repro.core.datetimes import parse_datetime_string
 from repro.core.jsonpath import KeyPath
 from repro.core.types import JsonType
 from repro.jsonb import format as fmt
-from repro.jsonb.decoder import decode_value, skip_value
+from repro.jsonb.decoder import decode_value, read_key, skip_value
 
 _JSON_TYPE_BY_ID = {
     fmt.TYPE_INT: JsonType.INT,
@@ -132,9 +132,7 @@ class JsonbValue:
         for _ in range(count):
             key = None
             if type_id == fmt.TYPE_OBJECT:
-                key_len, pos = fmt.read_compact_uint(buf, pos)
-                key = buf[pos : pos + key_len].decode("utf-8")
-                pos += key_len
+                key, pos = read_key(buf, pos)
             yield key, JsonbValue(buf, pos)
             pos = skip_value(buf, pos)
 

@@ -78,17 +78,26 @@ def _read_string(buf: bytes, pos: int, info: int) -> Tuple[str, int]:
         raise JsonbDecodeError(f"invalid UTF-8 string payload: {exc}") from exc
 
 
+def read_key(buf: bytes, pos: int) -> Tuple[str, int]:
+    """Decode the length-prefixed object key at *pos*; returns the key
+    and the position after it."""
+    key_len, pos = fmt.read_compact_uint(buf, pos)
+    end = pos + key_len
+    if end > len(buf):
+        raise JsonbDecodeError("truncated object key")
+    try:
+        return buf[pos:end].decode("utf-8"), end
+    except UnicodeDecodeError as exc:
+        raise JsonbDecodeError(f"invalid UTF-8 object key: {exc}") from exc
+
+
 def _decode_object(buf: bytes, pos: int, info: int) -> Tuple[dict, int]:
     width = fmt.OFFSET_WIDTHS[info & 0x3]
     count, pos = fmt.read_compact_uint(buf, pos)
     pos += count * width  # the offset table is only needed for lookups
     result = {}
     for _ in range(count):
-        key_len, pos = fmt.read_compact_uint(buf, pos)
-        if pos + key_len > len(buf):
-            raise JsonbDecodeError("truncated object key")
-        key = buf[pos : pos + key_len].decode("utf-8")
-        pos += key_len
+        key, pos = read_key(buf, pos)
         value, pos = decode_value(buf, pos)
         result[key] = value
     return result, pos

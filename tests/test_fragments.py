@@ -3,9 +3,9 @@
 The fragment planner must (a) emit the documented DAG shapes and
 decline reasons purely from block shape, (b) survive a JSON wire
 round-trip (the coordinator ships plans to shards), and (c) execute
-bit-identically to the fused operator tree on a single node — the
-in-process `LocalExchange` case that makes the cluster's broadcast
-joins trustworthy by construction.
+bit-identically to the fused operator tree as one in-process shard —
+which is what makes the cluster's partial merges and broadcast joins
+trustworthy by construction.
 """
 
 import json
@@ -13,13 +13,25 @@ import struct
 
 import pytest
 
-from repro import Database, ExtractionConfig, QueryOptions
+from repro import (
+    Database,
+    ExtractionConfig,
+    LsmConfig,
+    QueryOptions,
+    StorageFormat,
+)
 from repro.engine.fragments import (
     FragmentPlan,
     execute_fragments_local,
     plan_fragments,
 )
+from repro.engine.partial import (
+    classify_block,
+    execute_partial,
+    merge_partial_results,
+)
 from repro.errors import ExecutionError
+from repro.lsm import plan_compactions
 from repro.server import protocol
 from repro.sql.binder import Binder
 from repro.sql.parser import parse
@@ -129,7 +141,7 @@ class TestPlanning:
 
 
 class TestLocalExecution:
-    """`execute_fragments_local` vs the fused tree, bit for bit."""
+    """`execute_fragments_local` vs `db.sql`, bit for bit."""
 
     QUERIES = [
         # scalar over a join
@@ -157,9 +169,7 @@ class TestLocalExecution:
         for sql in self.QUERIES:
             options = QueryOptions(parallelism=parallelism,
                                    batch_rows=48)
-            fused = db.sql(sql, QueryOptions(parallelism=parallelism,
-                                             batch_rows=48,
-                                             enable_fragments=False))
+            fused = db.sql(sql, options)
             block = _bind(db, sql, options)
             columns, rows, counters, order = \
                 execute_fragments_local(block, options)
@@ -168,16 +178,6 @@ class TestLocalExecution:
                 [[bits(v) for v in row] for row in fused.rows], sql
             assert counters.broadcast_rows > 0, sql
             assert order == ["c", "o"], sql
-
-    def test_default_routing_matches_fused(self, db):
-        sql = ("select o.data->>'region' as r, count(*) as n "
-               "from orders o group by o.data->>'region' "
-               "order by n desc, r")
-        routed = db.sql(sql)
-        fused = db.sql(sql, QueryOptions(enable_fragments=False))
-        assert routed.columns == fused.columns
-        assert [[bits(v) for v in row] for row in routed.rows] == \
-            [[bits(v) for v in row] for row in fused.rows]
 
     def test_empty_build_side(self, db):
         sql = ("select count(*) as n from orders o, custs c "
@@ -201,3 +201,87 @@ class TestLocalExecution:
         text = db.explain(JOIN_SQL)
         assert "fragments: build[c] =broadcast=> probe[o]" in text
         assert "broadcast build estimate" in text
+
+
+# ----------------------------------------------------------------------
+# single-source partials as one shard: execute_partial +
+# merge_partial_results must replay db.sql, scan counters included
+
+
+def _compacted_db():
+    """12 L0 tiles of 64 rows compacted into 3 L1 tiles of 256 rows.
+    Only the last merged tile carries `opt` (tile skipping), and a
+    range on `k` prunes canonical blocks inside the first one."""
+    rows = [{"k": i, "g": i % 5, "w": f"w{i % 3}", "v": i * 0.37}
+            for i in range(768)]
+    for row in rows[512:]:
+        row["opt"] = row["k"] % 11
+    db = Database(StorageFormat.TILES,
+                  ExtractionConfig(tile_size=64, partition_size=4,
+                                   enable_reordering=False))
+    db.load_table("t", rows)
+    relation = db.tables["t"]
+    lsm = LsmConfig(enabled=True, fanout=4, max_level=2)
+    while any(relation.compact_tiles(candidate.start_number,
+                                     candidate.count)
+              for candidate in plan_compactions(relation, lsm)):
+        pass
+    assert [tile.row_count for tile in relation.manifest().tiles] == \
+        [256, 256, 256]
+    return db
+
+
+class TestPartialMatchesSql:
+    PREDICATES = {
+        "tile-skip": "t.data->>'opt'::int >= 3",
+        "block-prune": "t.data->>'k'::int < 100",
+    }
+    QUERIES = {
+        "scalar": "select count(*) as n, sum(t.data->>'v'::float) as s, "
+                  "min(t.data->>'w') as lo from t t where {pred}",
+        "single_key": "select t.data->>'g'::int as g, count(*) as n, "
+                      "avg(t.data->>'v'::float) as a from t t "
+                      "where {pred} group by t.data->>'g'::int "
+                      "order by g",
+        "generic": "select t.data->>'w' as w, t.data->>'g'::int as g, "
+                   "count(*) as n, sum(t.data->>'k'::int) as s from t t "
+                   "where {pred} group by t.data->>'w', "
+                   "t.data->>'g'::int order by n desc, w, g limit 7",
+        "rows": "select t.data->>'k'::int as k, t.data->>'w' as w "
+                "from t t where {pred} order by k desc limit 9",
+    }
+    COUNTERS = ("tiles_total", "tiles_skipped", "blocks_pruned",
+                "rows_scanned")
+
+    @pytest.fixture(scope="class")
+    def db(self):
+        return _compacted_db()
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    @pytest.mark.parametrize("mode", sorted(QUERIES))
+    @pytest.mark.parametrize("predicate", sorted(PREDICATES))
+    def test_one_shard_partial_matches_sql(self, db, predicate, mode,
+                                           parallelism):
+        sql = self.QUERIES[mode].format(pred=self.PREDICATES[predicate])
+        options = QueryOptions(parallelism=parallelism, batch_rows=64)
+        expected = db.sql(sql, options)
+        block = _bind(db, sql, options)
+        assert classify_block(block) == mode
+        result = execute_partial(block, options, shard_index=0,
+                                 shard_count=1, expected_mode=mode)
+        columns, rows = merge_partial_results(block, mode,
+                                              result["pieces"],
+                                              options=options)
+        assert columns == expected.columns
+        assert rows, sql
+        assert [[bits(v) for v in row] for row in rows] == \
+            [[bits(v) for v in row] for row in expected.rows], sql
+        for name in self.COUNTERS:
+            assert result["counters"][name] == \
+                getattr(expected.counters, name), (sql, name)
+        skipped = expected.counters.tiles_skipped
+        pruned = expected.counters.blocks_pruned
+        if predicate == "tile-skip":
+            assert skipped == 2 and pruned == 0
+        else:
+            assert skipped == 2 and pruned == 2

@@ -134,6 +134,20 @@ class TestDecoderRobustness:
         with pytest.raises(JsonbDecodeError):
             decode(bytes([0xFF]))
 
+    @staticmethod
+    def _corrupt_key_doc() -> bytes:
+        buf = bytearray(encode({"ab": 1}))
+        buf[buf.index(b"ab")] = 0xFF  # not a UTF-8 lead byte
+        return bytes(buf)
+
+    def test_corrupt_object_key_decode(self):
+        with pytest.raises(JsonbDecodeError):
+            decode(self._corrupt_key_doc())
+
+    def test_corrupt_object_key_iter_items(self):
+        with pytest.raises(JsonbDecodeError):
+            list(JsonbValue(self._corrupt_key_doc()).iter_items())
+
 
 class TestAccess:
     DOC = {"id": 5, "create": "2020-06-01", "text": "b",

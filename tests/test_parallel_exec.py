@@ -159,3 +159,44 @@ class TestOtherFormatsAndModes:
         assert "rows_scanned=" in text
         assert "parallelism=4" in text
         assert "pool: workers=" in text
+
+
+class TestTileLayoutIndependence:
+    """Batches are canonical chunks of the global row space, so where
+    seals drew tile boundaries (a server flushing mid-stream) never
+    changes a float fold."""
+
+    QUERIES = [
+        "select sum(t.data->>'v'::float) as s, "
+        "avg(t.data->>'v'::float) as a from t t",
+        "select t.data->>'g'::int as g, sum(t.data->>'v'::float) as s "
+        "from t t group by t.data->>'g'::int order by g",
+        "select t.data->>'k'::int as k from t t "
+        "where t.data->>'v'::float > 90.0 order by k desc limit 5",
+    ]
+
+    @staticmethod
+    def _db(flush_every):
+        rows = [{"k": i, "g": i % 7, "v": (i * 7919 % 1000) / 10.0 + 0.1}
+                for i in range(1000)]
+        db = Database(StorageFormat.TILES,
+                      ExtractionConfig(tile_size=64, partition_size=2,
+                                       enable_reordering=False))
+        db.create_table("t")
+        relation = db.tables["t"]
+        for start in range(0, len(rows), flush_every):
+            relation.insert_many(rows[start:start + flush_every])
+            relation.flush_inserts()
+        return db
+
+    @pytest.mark.parametrize("batch_rows", [48, 4096])
+    def test_drifted_tiles_match_canonical(self, batch_rows):
+        canonical = self._db(64)
+        drifted = self._db(53)
+        assert [tile.row_count for tile in
+                drifted.tables["t"].manifest().tiles][:2] == [53, 53]
+        for sql in self.QUERIES:
+            expected = run_both(canonical, sql, batch_rows=batch_rows)
+            assert_bit_identical(
+                expected, run_both(drifted, sql, batch_rows=batch_rows),
+                sql)
