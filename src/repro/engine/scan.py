@@ -155,14 +155,16 @@ class ScanCounters:
     distjoin_declines: int = 0
 
     def merge(self, other: "ScanCounters") -> "ScanCounters":
-        for field in fields(self):
-            setattr(self, field.name,
-                    getattr(self, field.name) + getattr(other, field.name))
+        for name in _COUNTER_FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         return self
 
     def as_dict(self) -> Dict[str, int]:
-        return {field.name: getattr(self, field.name)
-                for field in fields(self)}
+        return {name: getattr(self, name) for name in _COUNTER_FIELDS}
+
+
+#: ScanCounters' field names, resolved once instead of per merge
+_COUNTER_FIELDS = tuple(field.name for field in fields(ScanCounters))
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,14 @@ reads only the catalog eagerly: tile headers, statistics and sketches
 are restored up front (they drive planning and tile skipping), while
 each tile's columns and JSONB heap stay behind a
 :class:`TileSegment` that the :mod:`~repro.storage.tilestore` faults
-in on first pin.  The v1 format (leading catalog with ``blob_sizes``,
-blobs concatenated after it) is still readable — its offsets are just
-the running sum of the sizes — and loads through the same lazy path.
+in on first pin.  A pin reads every payload blob of the tile (so a
+truncated file fails there) but decodes nothing: each column, and the
+JSONB heap, is decoded on its first access, so a query decodes only
+the key paths it touches.  A corrupt blob raises :class:`StorageError`
+naming the file and blob id when it is decoded.  The v1 format
+(leading catalog with ``blob_sizes``, blobs concatenated after it) is
+still readable — its offsets are just the running sum of the sizes —
+and loads through the same lazy path.
 
 Durability: files are written to a temp sibling, fsynced, atomically
 renamed into place, and the containing directory is fsynced, so a
@@ -33,6 +38,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+from functools import partial
 from pathlib import Path
 from typing import BinaryIO, Dict, List, Optional, Tuple, Union
 
@@ -54,10 +60,14 @@ from repro.storage.relation import Relation
 from repro.storage.tilestore import GLOBAL_TILE_STORE, TileHandle, TileStore
 from repro.tiles.extractor import ExtractionConfig
 from repro.tiles.header import ExtractedColumn, TileHeader
-from repro.tiles.tile import Tile
+from repro.tiles.tile import Tile, TileColumns
 
 MAGIC_V1 = b"JTIL1"
 MAGIC = b"JTIL2"
+
+_U32 = struct.Struct("<I")
+#: length prefix of a NULL slot in an object column blob
+_NULL_LENGTH = 0xFFFFFFFF
 
 
 class _BlobWriter:
@@ -120,7 +130,8 @@ class TileSegment:
         self.nbytes = sum(source.length(blob_id) for blob_id in blob_ids)
 
     def load(self, header: TileHeader, first_row: int) -> Tile:
-        """Fault the payload in (columns + JSONB heap) under *header*."""
+        """Read the payload blobs (columns + JSONB heap) under *header*;
+        each column and the heap decode on first access."""
         return _restore_tile_payload(self.meta, header, self.source,
                                      first_row)
 
@@ -133,43 +144,91 @@ def _encode_rows(rows: List[bytes]) -> bytes:
     return b"".join(parts)
 
 
-def _decode_rows(blob: bytes) -> List[bytes]:
-    (count,) = struct.unpack_from("<I", blob, 0)
+def _corrupt(path: Path, blob_id: int, detail: str) -> StorageError:
+    return StorageError(f"{path} is corrupt (blob {blob_id}): {detail}")
+
+
+def _read_count(blob: bytes, path: Path, blob_id: int,
+                expected: Optional[int]) -> int:
+    """The u32 element count leading a rows or object-column blob."""
+    if len(blob) < 4:
+        raise _corrupt(path, blob_id, "blob shorter than its count")
+    (count,) = _U32.unpack_from(blob, 0)
+    if expected is not None and count != expected:
+        raise _corrupt(path, blob_id,
+                       f"holds {count} elements, catalog says {expected}")
+    return count
+
+
+def _decode_rows(blob: bytes, path: Path, blob_id: int,
+                 expected: Optional[int] = None) -> List[bytes]:
+    """Split a length-prefixed rows blob; every prefix must stay inside
+    the blob, the rows must end exactly at its end, and the count must
+    match *expected* (when the catalog records one)."""
+    count = _read_count(blob, path, blob_id, expected)
+    unpack = _U32.unpack_from
+    end = len(blob)
     rows = []
     pos = 4
-    for _ in range(count):
-        (length,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
-        rows.append(blob[pos : pos + length])
-        pos += length
+    try:
+        for _ in range(count):
+            (length,) = unpack(blob, pos)
+            pos += 4
+            stop = pos + length
+            if stop > end:
+                raise _corrupt(path, blob_id, "row runs past the blob end")
+            rows.append(blob[pos:stop])
+            pos = stop
+    except struct.error:
+        raise _corrupt(path, blob_id, "length prefix past the blob end") \
+            from None
+    if pos != end:
+        raise _corrupt(path, blob_id, f"{end - pos} trailing bytes")
     return rows
 
 
 def _encode_object_column(data: np.ndarray) -> bytes:
-    parts = [struct.pack("<I", len(data))]
+    parts = [_U32.pack(len(data))]
     for item in data:
         if item is None:
-            parts.append(b"\xff\xff\xff\xff")
+            parts.append(_U32.pack(_NULL_LENGTH))
         else:
             encoded = (item if isinstance(item, bytes)
                        else str(item).encode("utf-8"))
-            parts.append(struct.pack("<I", len(encoded)))
+            parts.append(_U32.pack(len(encoded)))
             parts.append(encoded)
     return b"".join(parts)
 
 
-def _decode_object_column(blob: bytes) -> np.ndarray:
-    (count,) = struct.unpack_from("<I", blob, 0)
+def _decode_object_column(blob: bytes, length: int, path: Path,
+                          blob_id: int) -> np.ndarray:
+    """Decode a string column blob with the checks of
+    :func:`_decode_rows`, plus valid UTF-8 in every value."""
+    count = _read_count(blob, path, blob_id, length)
+    unpack = _U32.unpack_from
+    end = len(blob)
+    values: List[Optional[str]] = [None] * count
     pos = 4
+    try:
+        for index in range(count):
+            (size,) = unpack(blob, pos)
+            pos += 4
+            if size != _NULL_LENGTH:
+                stop = pos + size
+                if stop > end:
+                    raise _corrupt(path, blob_id,
+                                   "value runs past the blob end")
+                values[index] = blob[pos:stop].decode("utf-8")
+                pos = stop
+    except struct.error:
+        raise _corrupt(path, blob_id, "length prefix past the blob end") \
+            from None
+    except UnicodeDecodeError as exc:
+        raise _corrupt(path, blob_id, f"invalid UTF-8: {exc}") from None
+    if pos != end:
+        raise _corrupt(path, blob_id, f"{end - pos} trailing bytes")
     out = np.empty(count, dtype=object)
-    for index in range(count):
-        (length,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
-        if length == 0xFFFFFFFF:
-            out[index] = None
-        else:
-            out[index] = blob[pos : pos + length].decode("utf-8")
-            pos += length
+    out[:] = values
     return out
 
 
@@ -189,18 +248,27 @@ def _column_meta(vector: ColumnVector, blobs: _BlobWriter) -> dict:
     }
 
 
-def _restore_column(meta: dict, blobs) -> ColumnVector:
+def _restore_column(meta: dict, data: bytes, nulls: bytes,
+                    path: Path) -> ColumnVector:
+    """Decode one column from its data and null-bitmap blobs; both
+    sizes must agree with the catalog ``length``."""
     column_type = ColumnType(meta["type"])
     length = meta["length"]
     if meta["layout"] == "object":
-        data = _decode_object_column(blobs[meta["data"]])
+        values = _decode_object_column(data, length, path, meta["data"])
     else:
-        data = np.frombuffer(blobs[meta["data"]],
-                             dtype=dtype_for(column_type)).copy()
-    nulls = np.unpackbits(
-        np.frombuffer(blobs[meta["nulls"]], dtype=np.uint8),
-        count=length).astype(bool) if length else np.zeros(0, dtype=bool)
-    return ColumnVector(column_type, data[:length], nulls)
+        dtype = np.dtype(dtype_for(column_type))
+        if len(data) != length * dtype.itemsize:
+            raise _corrupt(path, meta["data"],
+                           f"{len(data)} bytes for {length} "
+                           f"{dtype.name} values")
+        values = np.frombuffer(data, dtype=dtype).copy()
+    if len(nulls) != (length + 7) // 8:
+        raise _corrupt(path, meta["nulls"],
+                       f"{len(nulls)}-byte null bitmap for {length} rows")
+    null_mask = np.unpackbits(np.frombuffer(nulls, dtype=np.uint8),
+                              count=length).astype(bool)
+    return ColumnVector(column_type, values, null_mask)
 
 
 def _sketch_meta(sketch: HyperLogLog, blobs: _BlobWriter) -> dict:
@@ -343,15 +411,30 @@ def _restore_tile_header(meta: dict, blobs) -> TileHeader:
     return header
 
 
-def _restore_tile_payload(meta: dict, header: TileHeader, blobs,
-                          first_row: int) -> Tile:
-    """The demand-loaded part: column vectors and the JSONB heap."""
-    columns = {}
-    for column_meta in meta["columns"]:
-        columns[KeyPath.parse(column_meta["path"])] = \
-            _restore_column(column_meta["vector"], blobs)
-    rows = _decode_rows(blobs[meta["rows"]])
-    return Tile(header, columns, rows, first_row)
+def _restore_tile_payload(meta: dict, header: TileHeader,
+                          blobs: _BlobSource, first_row: int) -> Tile:
+    """The demand-loaded part: column vectors and the JSONB heap.
+
+    Every blob is read here; decoding waits for first access.  The
+    header's columns were restored from (or written as) this entry's
+    column list, in the same order, so its ``KeyPath`` objects key
+    the columns without re-parsing."""
+    column_metas = meta["columns"]
+    if len(column_metas) != len(header.columns):
+        raise StorageError(
+            f"{blobs.path}: tile {header.tile_number} stores "
+            f"{len(column_metas)} columns, its header {len(header.columns)}")
+    pending = {}
+    for path, column_meta in zip(header.columns, column_metas):
+        vector = column_meta["vector"]
+        pending[path] = partial(_restore_column, vector,
+                                blobs[vector["data"]], blobs[vector["nulls"]],
+                                blobs.path)
+    rows_id = meta["rows"]
+    decode_rows = partial(_decode_rows, blobs[rows_id], blobs.path, rows_id,
+                          meta["row_count"])
+    return Tile.paged(header, TileColumns(pending=pending), decode_rows,
+                      first_row)
 
 
 def _table_stats_meta(stats: TableStatistics, blobs: _BlobWriter) -> dict:
@@ -445,8 +528,9 @@ def _restore_relation(meta: dict, source: _BlobSource,
         relation.children[path_text] = _restore_relation(
             child_meta, source, store)
     if "text_rows" in meta:
-        relation.text_rows = [row.decode("utf-8") for row in
-                              _decode_rows(source[meta["text_rows"]])]
+        relation.text_rows = [
+            row.decode("utf-8") for row in _decode_rows(
+                source[meta["text_rows"]], source.path, meta["text_rows"])]
     else:
         relation.text_rows = None
         for tile_meta in meta["tiles"]:
@@ -459,7 +543,8 @@ def _restore_relation(meta: dict, source: _BlobSource,
         if "insert_buffer" in meta:
             relation._insert_buffer = [
                 json.loads(row.decode("utf-8"))
-                for row in _decode_rows(source[meta["insert_buffer"]])]
+                for row in _decode_rows(source[meta["insert_buffer"]],
+                                        source.path, meta["insert_buffer"])]
     return relation
 
 

@@ -9,7 +9,10 @@ header.  This module turns them into one.
   filter, zone maps — everything tile skipping needs) is always
   resident; the *payload* (column vectors + JSONB rows) is pinned and
   loaded on demand from the relation's ``.jtile`` segment and unpinned
-  after use.  Handles for freshly built tiles (sealing, bulk load,
+  after use.  A load reads the payload bytes; each column and the JSONB
+  heap decode on first access (:class:`~repro.tiles.tile.TileColumns`),
+  while the budget charges the segment's full ``nbytes`` from the pin
+  on.  Handles for freshly built tiles (sealing, bulk load,
   recomputation) are *dirty*: they have no clean on-disk copy yet and
   are therefore never evicted; a checkpoint re-binds them to the new
   snapshot and makes them clean.
@@ -486,6 +489,10 @@ class TileStore:
                 if handle._pins > 0 or handle.dirty \
                         or handle._segment is None:
                     continue
+                # held until the evict event fired (_notify_evicted): a
+                # reload waits for it, so observers see the evicted state
+                if not handle._load_lock.acquire(blocking=False):
+                    continue
                 self._drop_locked(key)
                 handle._tile = None
                 self.evictions += 1
@@ -507,11 +514,16 @@ class TileStore:
 
     def _notify_evicted(self, evicted: List[TileHandle]) -> None:
         """Fire owner ``evict`` events outside the store lock (hooks
-        may be arbitrary observers; Relation swallows their errors)."""
+        may be arbitrary observers; Relation swallows their errors),
+        then release the load locks :meth:`_enforce_locked` took, so
+        no reload slips in between an eviction and its event."""
         for handle in evicted:
-            owner = handle.owner
-            if owner is not None:
-                owner._fire_event("evict", handle)
+            try:
+                owner = handle.owner
+                if owner is not None:
+                    owner._fire_event("evict", handle)
+            finally:
+                handle._load_lock.release()
 
     # ------------------------------------------------------------------
     # observability

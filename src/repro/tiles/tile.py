@@ -5,12 +5,18 @@ fallback representation) and, when the storage format extracts, one
 :class:`~repro.storage.column.ColumnVector` per materialized key path.
 Scans stream the vectors; accesses to non-extracted paths (or to
 type-conflicting NULL slots) traverse the JSONB bytes per tuple.
+
+A tile paged in from disk arrives with its payload bytes read but not
+decoded: each column, and the JSONB heap, is decoded on first access,
+so a scan pays only for the key paths it touches.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional
+import threading
+from collections.abc import Mapping
+from typing import Callable, Dict, Iterator, List, Optional
 
 import numpy as np
 
@@ -35,20 +41,113 @@ def new_tile_uid() -> int:
     return next(_uid_counter)
 
 
+class TileColumns(Mapping):
+    """The extracted columns of a tile: a read-only ``KeyPath`` ->
+    :class:`ColumnVector` mapping.
+
+    Columns of a built tile are *decoded* from the start.  A paged
+    tile's columns start *pending*: each maps to a zero-argument
+    decoder over the column's bytes, run on the first ``get`` /
+    ``[]`` (``items()`` and ``values()`` decode every column).  The
+    decoded vector replaces the decoder, dropping the raw bytes.
+    Iteration, ``in`` and ``len`` never decode.
+
+    Concurrent first accesses (two morsels of one pinned tile) decode
+    once under the lock, and a vector is published before its pending
+    entry is removed, so a reader never sees a known path as absent —
+    that would silently reroute it to the JSONB fallback.
+    """
+
+    __slots__ = ("_paths", "_decoded", "_pending", "_lock")
+
+    def __init__(self, decoded: Optional[Dict[KeyPath, ColumnVector]] = None,
+                 pending: Optional[Dict[KeyPath,
+                                        Callable[[], ColumnVector]]] = None):
+        self._decoded = dict(decoded or {})
+        self._pending = dict(pending or {})
+        self._paths = dict.fromkeys(itertools.chain(self._decoded,
+                                                    self._pending))
+        self._lock = threading.Lock()
+
+    def __getitem__(self, path: KeyPath) -> ColumnVector:
+        column = self._decoded.get(path)
+        if column is None:
+            with self._lock:
+                column = self._decoded.get(path)
+                if column is None:
+                    column = self._pending[path]()
+                    self._decoded[path] = column
+                    del self._pending[path]
+        return column
+
+    def get(self, path: KeyPath, default=None):
+        column = self._decoded.get(path)
+        if column is not None:
+            return column
+        return self[path] if path in self._paths else default
+
+    def __contains__(self, path: object) -> bool:
+        return path in self._paths
+
+    def __iter__(self) -> Iterator[KeyPath]:
+        return iter(self._paths)
+
+    def __len__(self) -> int:
+        return len(self._paths)
+
+
 class Tile:
-    __slots__ = ("header", "columns", "jsonb_rows", "first_row", "uid")
+    __slots__ = ("header", "columns", "first_row", "uid", "_rows",
+                 "_decode_rows", "_lock")
 
     def __init__(self, header: TileHeader, columns: Dict[KeyPath, ColumnVector],
                  jsonb_rows: List[bytes], first_row: int = 0):
         self.header = header
-        self.columns = columns
-        self.jsonb_rows = jsonb_rows
+        self.columns = TileColumns(columns)
         self.first_row = first_row
         self.uid = next(_uid_counter)
+        self._rows: Optional[List[bytes]] = jsonb_rows
+        self._decode_rows: Optional[Callable[[], List[bytes]]] = None
+        self._lock = threading.Lock()
+
+    @classmethod
+    def paged(cls, header: TileHeader, columns: TileColumns,
+              decode_rows: Callable[[], List[bytes]],
+              first_row: int) -> "Tile":
+        """A tile whose payload bytes are read but not yet decoded:
+        *columns* holds pending decoders and *decode_rows* produces the
+        JSONB heap on the first :attr:`jsonb_rows` access."""
+        tile = cls(header, {}, None, first_row)
+        tile.columns = columns
+        tile._decode_rows = decode_rows
+        return tile
+
+    def __reduce__(self):
+        # locks do not pickle; the parallel loader ships built tiles
+        # (always fully decoded) back from its worker processes
+        return (_rebuild_tile, (self.header, dict(self.columns.items()),
+                                self.jsonb_rows, self.first_row, self.uid))
+
+    @property
+    def jsonb_rows(self) -> List[bytes]:
+        rows = self._rows
+        if rows is None:
+            with self._lock:
+                rows = self._rows
+                if rows is None:
+                    rows = self._decode_rows()
+                    self._rows = rows
+                    self._decode_rows = None
+        return rows
+
+    @jsonb_rows.setter
+    def jsonb_rows(self, rows: List[bytes]) -> None:
+        self._rows = rows
+        self._decode_rows = None
 
     @property
     def row_count(self) -> int:
-        return len(self.jsonb_rows)
+        return self.header.row_count
 
     def column(self, path: KeyPath) -> Optional[ColumnVector]:
         return self.columns.get(path)
@@ -74,3 +173,9 @@ class Tile:
 
     def jsonb_size_bytes(self) -> int:
         return sum(len(row) for row in self.jsonb_rows)
+
+
+def _rebuild_tile(header, columns, jsonb_rows, first_row, uid) -> Tile:
+    tile = Tile(header, columns, jsonb_rows, first_row)
+    tile.uid = uid
+    return tile

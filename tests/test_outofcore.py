@@ -1,7 +1,8 @@
 """Out-of-core acceptance tests.
 
 The differential half is the tentpole's correctness gate: every query
-in the twitter / yelp / hackernews suites must return bit-identical
+in the twitter / yelp / hackernews suites, and the TPC-H queries of the
+repo benchmark over the combined relation, must return bit-identical
 results whether the relation is fully resident (no budget — the legacy
 behavior) or paged through a residency budget of 25% of the working
 set, with peak resident tile bytes staying under the budget throughout.
@@ -20,18 +21,28 @@ from repro import Database, ExtractionConfig, QueryOptions, StorageFormat
 from repro.storage.persist import load_relation, save_database
 from repro.storage.tile_cache import GLOBAL_TILE_CACHE, ResolvedTileCache
 from repro.storage.tilestore import GLOBAL_TILE_STORE, TileStore
-from repro.workloads import hackernews, twitter, yelp
+from repro.workloads import hackernews, tpch, twitter, yelp
 
 CONFIG = ExtractionConfig(tile_size=64, partition_size=4)
 
+#: suite -> (make the resident db, table to page, queries, the names
+#: the paged relation is registered under)
 SUITES = {
     "twitter": (lambda: twitter.make_database(400, StorageFormat.TILES,
                                               CONFIG),
-                "tweets", twitter.TWITTER_QUERIES),
+                "tweets", twitter.TWITTER_QUERIES, ("tweets",)),
     "yelp": (lambda: yelp.make_database(80, StorageFormat.TILES, CONFIG),
-             "yelp", yelp.YELP_QUERIES),
+             "yelp", yelp.YELP_QUERIES, ("yelp",)),
     "hackernews": (lambda: hackernews.make_database(400, config=CONFIG),
-                   "items", hackernews.HACKERNEWS_QUERIES),
+                   "items", hackernews.HACKERNEWS_QUERIES, ("items",)),
+    # every TPC-H document type in one relation: heterogeneous tiles
+    # with string columns and JSONB fallback, the out-of-core
+    # benchmark's query mix
+    "tpch-combined": (lambda: tpch.make_database(0.001, config=CONFIG),
+                      "tpch_combined",
+                      {f"q{number}": tpch.TPCH_QUERIES[number]
+                       for number in (1, 3, 4, 6, 12, 14)},
+                      tpch.TABLE_NAMES),
 }
 
 
@@ -58,7 +69,7 @@ class TestDifferentialOutOfCore:
 
     @pytest.mark.parametrize("suite", sorted(SUITES))
     def test_suite_bit_identical_under_budget(self, tmp_path, suite):
-        make, table, queries = SUITES[suite]
+        make, table, queries, names = SUITES[suite]
         resident_db = make()
         expected = {name: resident_db.sql(text).rows
                     for name, text in queries.items()}
@@ -74,7 +85,8 @@ class TestDifferentialOutOfCore:
         store.set_budget(budget)
 
         paged_db = Database(StorageFormat.TILES, CONFIG)
-        paged_db.register(table, relation)
+        for name in names:
+            paged_db.register(name, relation)
         for name, text in queries.items():
             assert paged_db.sql(text).rows == expected[name], (suite, name)
         stats = store.stats()
@@ -83,7 +95,7 @@ class TestDifferentialOutOfCore:
         assert stats["loads"] > len(relation.tiles)  # tiles cycled back in
 
     def test_documents_identical_under_budget(self, tmp_path):
-        make, table, _queries = SUITES["twitter"]
+        make, table, _queries, _names = SUITES["twitter"]
         db = make()
         expected = list(db.table(table).documents())
         save_database(db, tmp_path / "d")

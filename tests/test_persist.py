@@ -1,11 +1,16 @@
 """Tests for on-disk persistence (save/load of relations)."""
 
+import json
+import struct
+
 import pytest
 
 from repro import Database, ExtractionConfig, StorageFormat
 from repro.core.jsonpath import KeyPath
 from repro.errors import StorageError
 from repro.storage.persist import (
+    MAGIC,
+    _open_catalog,
     load_relation,
     open_database,
     save_database,
@@ -145,6 +150,103 @@ class TestRelationRoundTrip:
         path.write_bytes(data[: len(data) - 100])
         with pytest.raises(StorageError):
             load_relation(path)
+
+
+def rewrite_file(path, edit):
+    """Re-write a v2 ``.jtile`` after *edit(catalog, blobs)* changed its
+    catalog and/or the bytes of its blob section (a bytearray that
+    starts at file offset 0, so ``blob_index`` offsets address it)."""
+    catalog, _index = _open_catalog(path)
+    data = path.read_bytes()
+    (footer_len,) = struct.unpack("<Q", data[-13:-5])
+    blobs = bytearray(data[:len(data) - 13 - footer_len])
+    edit(catalog, blobs)
+    footer = json.dumps(catalog).encode("utf-8")
+    path.write_bytes(bytes(blobs) + footer
+                     + struct.pack("<Q", len(footer)) + MAGIC)
+
+
+#: the extracted columns the corruption query reads, by blob layout
+_QUERIED = {"object": "text", "raw": "id"}
+
+
+def _column_vector(catalog, layout):
+    for column in catalog["tiles"][0]["columns"]:
+        if column["path"] == _QUERIED[layout]:
+            assert column["vector"]["layout"] == layout
+            return column["vector"]
+    raise AssertionError(f"{_QUERIED[layout]} is not extracted")
+
+
+def _shorten(blob_key, layout=None, by=3):
+    def edit(catalog, _blobs):
+        owner = (catalog["tiles"][0] if layout is None
+                 else _column_vector(catalog, layout))
+        catalog["blob_index"][owner[blob_key]][1] -= by
+    return edit
+
+
+def _bad_utf8(catalog, blobs):
+    offset, _length = catalog["blob_index"][
+        _column_vector(catalog, "object")["data"]]
+    blobs[offset + 8] = 0xFF  # first byte of the first value
+
+
+def _oversized_prefix(catalog, blobs):
+    offset, _length = catalog["blob_index"][catalog["tiles"][0]["rows"]]
+    blobs[offset + 4 : offset + 8] = struct.pack("<I", 1 << 30)
+
+
+def _wrong_count(catalog, blobs):
+    offset, _length = catalog["blob_index"][
+        _column_vector(catalog, "object")["data"]]
+    (count,) = struct.unpack_from("<I", blobs, offset)
+    blobs[offset : offset + 4] = struct.pack("<I", count - 1)
+
+
+class TestCorruptPayloadBlobs:
+    """A damaged payload blob is detected when it is decoded — at first
+    access, since decode is lazy — and raised as StorageError naming
+    the file and the blob, never decoded into wrong values."""
+
+    CORRUPTIONS = {
+        "object-column-cut-short": _shorten("data", "object"),
+        "object-column-bad-utf8": _bad_utf8,
+        "object-column-wrong-count": _wrong_count,
+        "raw-column-partial-item": _shorten("data", "raw"),
+        "null-bitmap-cut-short": _shorten("nulls", "raw", by=1),
+        "rows-cut-short": _shorten("rows"),
+        "rows-oversized-prefix": _oversized_prefix,
+    }
+    QUERY = ("select sum(t.data->>'id'::int) as ids, "
+             "count(t.data->>'text') as texts, "
+             "count(t.data->>'rare') as rares from t t")
+
+    @staticmethod
+    def documents():
+        docs = tweets(32)
+        for doc in docs[::8]:
+            doc["rare"] = "déf"  # below the extraction threshold
+        return docs
+
+    def test_intact_file_answers(self, tmp_path):
+        db = Database(StorageFormat.TILES, CONFIG)
+        db.load_table("t", self.documents())
+        expected = db.sql(self.QUERY).rows
+        save_database(db, tmp_path / "store")
+        assert open_database(tmp_path / "store").sql(self.QUERY).rows == \
+            expected == [(sum(range(32)), 32, 4)]
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_corrupt_blob_raises_storage_error(self, tmp_path, corruption):
+        db = Database(StorageFormat.TILES, CONFIG)
+        db.load_table("t", self.documents())
+        path = tmp_path / "store" / "t.jtile"
+        save_database(db, tmp_path / "store")
+        rewrite_file(path, self.CORRUPTIONS[corruption])
+        reopened = open_database(tmp_path / "store")  # headers only
+        with pytest.raises(StorageError, match=r"t\.jtile.*blob \d+"):
+            reopened.sql(self.QUERY)
 
 
 class TestFormatV1Compatibility:

@@ -2,16 +2,22 @@
 
 Covers the TileHandle pin/unpin protocol, LRU eviction under a byte
 budget, the never-evict rules (pinned, dirty), checkpoint rebinding,
-weakref byte accounting, and the budget shared with the resolved-column
-cache.
+weakref byte accounting, the budget shared with the resolved-column
+cache, and per-column lazy decode of paged payloads.
 """
 
 import gc
+import sys
+import threading
+import time
 
+import numpy as np
 import pytest
 
 from repro import Database, ExtractionConfig, StorageFormat
+from repro.core.jsonpath import KeyPath
 from repro.errors import StorageError
+from repro.storage import persist
 from repro.storage.persist import load_relation, save_relation
 from repro.storage.tile_cache import GLOBAL_TILE_CACHE, ResolvedTileCache
 from repro.storage.tilestore import (
@@ -250,6 +256,34 @@ class TestAccounting:
         assert len(evicted) == len(relation.tiles)
         assert all(payload.pin_count == 0 for payload in evicted)
 
+    def test_no_reload_before_the_evict_event(self, tmp_path):
+        """Observers of an ``evict`` event see the tile paged out: a
+        concurrent pin of that tile waits until the event has fired."""
+        relation, store = make_paged_relation(tmp_path)
+        handle = relation.tiles[0]
+        with handle.pinned():
+            pass
+        seen = []
+        reloaders = []
+
+        def hook(event, _relation, payload):
+            if event != "evict" or reloaders:
+                return
+            reloader = threading.Thread(target=payload.pin)
+            reloaders.append(reloader)
+            reloader.start()
+            reloader.join(timeout=0.5)
+            seen.append((payload.resident, payload.pin_count,
+                         reloader.is_alive()))
+
+        relation.add_event_hook(hook)
+        store.set_budget(1)
+        store.set_budget(None)
+        reloaders[0].join(timeout=10)
+        assert not reloaders[0].is_alive()
+        assert seen == [(False, 0, True)]
+        assert handle.resident and handle.pin_count == 1
+
 
 class TestSharedBudget:
     def test_cache_capped_at_its_share(self, tmp_path):
@@ -333,3 +367,144 @@ class TestQueriesOverPagedTiles:
         result = db.sql(self.QUERY)
         assert result.counters.tile_loads == 0
         assert result.counters.tile_evictions == 0
+
+
+@pytest.fixture
+def decode_calls(monkeypatch):
+    """Count column and JSONB-heap decodes of paged payloads."""
+    calls = {"columns": 0, "heap": 0}
+    restore_column = persist._restore_column
+    decode_rows = persist._decode_rows
+
+    def counting_column(*args):
+        calls["columns"] += 1
+        return restore_column(*args)
+
+    def counting_rows(*args):
+        calls["heap"] += 1
+        return decode_rows(*args)
+
+    monkeypatch.setattr(persist, "_restore_column", counting_column)
+    monkeypatch.setattr(persist, "_decode_rows", counting_rows)
+    return calls
+
+
+class TestLazyDecode:
+    """A pin reads a paged tile's bytes; each column and the JSONB heap
+    decode only when first touched."""
+
+    PATHS = [KeyPath.parse(text) for text in ("id", "text", "user.id",
+                                              "score")]
+
+    def test_one_path_query_decodes_only_that_column(self, tmp_path,
+                                                     decode_calls):
+        relation, store = make_paged_relation(tmp_path)
+        assert all(set(h.header.columns) == set(self.PATHS)
+                   for h in relation.tiles)  # fully extracted
+        db = Database(StorageFormat.TILES, CONFIG)
+        db.register("t", relation)
+        result = db.sql("select sum(t.data->>'id'::int) as s from t t")
+        assert result.scalar() == sum(range(128))
+        assert result.counters.tile_loads == len(relation.tiles)
+        assert decode_calls == {"columns": len(relation.tiles), "heap": 0}
+        # the budget charge is the whole segment regardless
+        assert store.resident_bytes == sum(h.disk_bytes
+                                           for h in relation.tiles)
+
+    def test_iteration_and_membership_do_not_decode(self, tmp_path,
+                                                    decode_calls):
+        relation, _store = make_paged_relation(tmp_path)
+        with relation.tiles[0].pinned() as tile:
+            assert list(tile.columns) == list(tile.header.columns)
+            assert len(tile.columns) == len(self.PATHS)
+            assert all(path in tile.columns for path in self.PATHS)
+            assert KeyPath.parse("nope") not in tile.columns
+            assert tile.column(KeyPath.parse("nope")) is None
+            assert tile.row_count == 32
+            assert decode_calls == {"columns": 0, "heap": 0}
+            first = tile.column(self.PATHS[0])
+            assert tile.column(self.PATHS[0]) is first  # decoded once
+            assert len(tile.jsonb_rows) == 32
+            assert decode_calls == {"columns": 1, "heap": 1}
+
+    def test_update_patches_undecoded_columns(self, tmp_path):
+        new_document = {"id": -5, "text": "rewritten",
+                        "user": {"id": 99}, "score": -1.5}
+        db = Database(StorageFormat.TILES, CONFIG)
+        resident = db.load_table("t", tweets(128))
+        resident.update(37, new_document)
+
+        relation, store = make_paged_relation(tmp_path)
+        relation.update(37, new_document)
+        assert relation.tiles[1].dirty
+        save_relation(relation, tmp_path / "updated.jtile")
+        reopened = load_relation(tmp_path / "updated.jtile", store=store)
+        assert reopened.document(37) == new_document
+        for expected, handle in zip(resident.tiles, reopened.tiles):
+            for path in self.PATHS:
+                column = handle.column(path)
+                assert column.to_list() == expected.column(path).to_list()
+                assert np.array_equal(column.null_mask,
+                                      expected.column(path).null_mask)
+
+    def test_concurrent_first_access_decodes_once(self, tmp_path,
+                                                  monkeypatch):
+        restore_column = persist._restore_column
+
+        def slow_column(*args):
+            time.sleep(0.002)  # widen the decode/publish window
+            return restore_column(*args)
+
+        monkeypatch.setattr(persist, "_restore_column", slow_column)
+        relation, store = make_paged_relation(tmp_path)
+        workers = 8
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for handle in relation.tiles:
+                for path in self.PATHS:
+                    store.set_budget(1)  # evict: every round starts cold
+                    store.set_budget(None)
+                    barrier = threading.Barrier(workers)
+                    seen = [None] * workers
+
+                    def read(slot, handle=handle, path=path,
+                             barrier=barrier, seen=seen):
+                        with handle.pinned() as tile:
+                            barrier.wait(timeout=10)
+                            hit = path in tile.columns
+                            seen[slot] = (hit, tile.columns.get(path),
+                                          tile.column(path))
+
+                    threads = [threading.Thread(target=read, args=(slot,))
+                               for slot in range(workers)]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=30)
+                        assert not thread.is_alive()
+                    first = seen[0][1]
+                    assert first is not None
+                    for hit, by_get, by_column in seen:
+                        assert hit
+                        assert by_get is first and by_column is first
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_evict_and_reload_decodes_lazily_again(self, tmp_path,
+                                                   decode_calls):
+        relation, store = make_paged_relation(tmp_path)
+        handle = relation.tiles[2]
+        uid = handle.uid
+        with handle.pinned() as tile:
+            before = tile.column(self.PATHS[1]).to_list()
+        store.set_budget(1)
+        assert not handle.resident
+        store.set_budget(None)
+        with handle.pinned() as reloaded:
+            assert reloaded is not tile
+            assert reloaded.uid == uid == handle.uid
+            assert decode_calls == {"columns": 1, "heap": 0}
+            assert reloaded.column(self.PATHS[1]).to_list() == before
+        assert decode_calls == {"columns": 2, "heap": 0}
+        assert store.loads == 2
